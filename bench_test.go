@@ -456,17 +456,6 @@ func BenchmarkExprInterpreted(b *testing.B) {
 	}
 }
 
-// BenchmarkExecutionBatch runs the same Q1/Q6/Q18 hot paths through the
-// batched columnar engine (Options.Vectorize). The ratio to
-// BenchmarkExprCompiled is the batch-engine speedup recorded in
-// BENCH_exec.json; results and virtual clock readings are bit-identical
-// to the row engine by construction (see the differential suite).
-func BenchmarkExecutionBatch(b *testing.B) {
-	for _, tmpl := range []int{1, 6, 18} {
-		b.Run(fmt.Sprintf("q%d", tmpl), func(b *testing.B) { benchmarkExecQuery(b, tmpl, exec.Options{Vectorize: true}) })
-	}
-}
-
 // BenchmarkSVRTraining measures nu-SVR fit time at workload scale.
 func BenchmarkSVRTraining(b *testing.B) {
 	skipIfShort(b)

@@ -15,12 +15,20 @@
 // POST /reload re-reads the model directory (or retrains with the
 // startup config) and atomically swaps the new snapshot in; in-flight
 // predictions finish on the old one.
+//
+// SIGINT or SIGTERM stops accepting connections and drains in-flight
+// requests for up to shutdownGrace before exiting.
 package main
 
 import (
+	"context"
 	"flag"
 	"log"
+	"net"
 	"net/http"
+	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"qpp/internal/qpp"
@@ -28,6 +36,49 @@ import (
 	"qpp/internal/storage"
 	"qpp/internal/tpch"
 )
+
+// Server timeouts. ReadTimeout bounds a slow client's whole request
+// (bodies are capped at 1 MiB); WriteTimeout bounds a whole handler,
+// including an in-process /reload retrain; IdleTimeout reaps idle
+// keep-alive connections.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	writeTimeout      = 5 * time.Minute
+	idleTimeout       = 2 * time.Minute
+	// shutdownGrace bounds the drain of in-flight requests on SIGINT/SIGTERM.
+	shutdownGrace = 30 * time.Second
+)
+
+// newServer builds the HTTP server with every timeout set.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
+// serveUntil serves srv on ln until serving fails or ctx is done, then
+// shuts srv down, draining in-flight requests for up to shutdownGrace.
+func serveUntil(ctx context.Context, srv *http.Server, ln net.Listener) error {
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Serve(ln) }()
+	select {
+	case err := <-errc:
+		return err
+	case <-ctx.Done():
+	}
+	log.Printf("qppserve: shutting down (draining up to %s)", shutdownGrace)
+	sctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	err := srv.Shutdown(sctx)
+	<-errc // Serve returns http.ErrServerClosed as soon as Shutdown starts
+	return err
+}
 
 func parseStrategy(s string) qpp.Strategy {
 	switch s {
@@ -92,10 +143,13 @@ func main() {
 	}
 	s := serve.New(db, snap, serve.Options{Reload: reload})
 	log.Printf("qppserve: serving model %s on %s", snap.Version, *addr)
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           s,
-		ReadHeaderTimeout: 5 * time.Second,
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatalf("qppserve: %v", err)
 	}
-	log.Fatal(srv.ListenAndServe())
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := serveUntil(ctx, newServer(*addr, s), ln); err != nil {
+		log.Fatalf("qppserve: %v", err)
+	}
 }

@@ -13,9 +13,8 @@ import (
 // sketch for equi-depth histogram bounds. Memory per column is
 // O(HistogramBins + sketch constants) regardless of row count, versus
 // AnalyzeRows which materializes every distinct value and every numeric
-// cell. AnalyzeRows stays available as the exact differential oracle
-// (see TestSketchVsExactStats) the same way Options.Interpret anchors
-// the vectorized engine.
+// cell. AnalyzeRows stays available as the exact oracle that the
+// differential stats tests (TestSketchVsExactStats) compare against.
 //
 // Determinism: the sketches hash with a fixed seed and break ties by key
 // bytes, so repeated runs over the same rows produce bit-identical

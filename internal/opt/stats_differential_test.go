@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"qpp/internal/catalog"
+	"qpp/internal/storage"
 	"qpp/internal/tpch"
 	"qpp/internal/types"
 )
@@ -41,22 +42,27 @@ var planParityAllowlist = map[string]string{
 	"t9@sf0.1":  "outer probe order swaps part/orders on an equal-cost association; chosen-plan costs within 0.001%",
 }
 
-// statsPair generates the same database twice, once per ANALYZE path.
-func statsPair(t *testing.T, sf float64) (sketch, exact map[string]*catalog.TableStats) {
+// statsPair generates the TPC-H database at sf once and returns it with
+// its streaming-sketch statistics, plus a database over the same tables
+// and indexes whose statistics come from the exact oracle
+// (catalog.AnalyzeRows) over the same rows.
+func statsPair(t *testing.T, sf float64) (sketch, exact *storage.Database) {
 	t.Helper()
-	skDB, err := tpch.Generate(tpch.GenConfig{ScaleFactor: sf, Seed: 42})
+	db, err := tpch.Generate(tpch.GenConfig{ScaleFactor: sf, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exDB, err := tpch.Generate(tpch.GenConfig{ScaleFactor: sf, Seed: 42, ExactStats: true})
-	if err != nil {
-		t.Fatal(err)
+	ex := &storage.Database{Schema: db.Schema, Tables: db.Tables, Indexes: db.Indexes,
+		Stats: make(map[string]*catalog.TableStats, len(db.Tables))}
+	for name, tbl := range db.Tables {
+		ex.Stats[name] = catalog.AnalyzeRows(tbl.Meta, tbl.Rows)
 	}
-	return skDB.Stats, exDB.Stats
+	return db, ex
 }
 
 func runStatsDifferential(t *testing.T, sf float64) {
-	sk, ex := statsPair(t, sf)
+	skDB, exDB := statsPair(t, sf)
+	sk, ex := skDB.Stats, exDB.Stats
 	for name, exTS := range ex {
 		skTS := sk[name]
 		if skTS == nil {
@@ -138,14 +144,7 @@ func TestSketchVsExactStatsSF01(t *testing.T) {
 // runPlanParity plans every TPC-H template against both databases and
 // compares plan structure (root signatures).
 func runPlanParity(t *testing.T, sf float64, tag string) {
-	skDB, err := tpch.Generate(tpch.GenConfig{ScaleFactor: sf, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exDB, err := tpch.Generate(tpch.GenConfig{ScaleFactor: sf, Seed: 42, ExactStats: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	skDB, exDB := statsPair(t, sf)
 	queries, err := tpch.GenWorkload(tpch.Templates, 2, 7)
 	if err != nil {
 		t.Fatal(err)

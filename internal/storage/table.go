@@ -9,7 +9,6 @@ package storage
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"qpp/internal/catalog"
 	"qpp/internal/types"
@@ -28,11 +27,6 @@ type Table struct {
 	RowsPerPage int
 	// Pages is the heap size in pages.
 	Pages int64
-
-	// Columnar decomposition, built lazily by Columns(). The Once makes
-	// concurrent first uses safe; the vectors themselves are immutable.
-	colOnce sync.Once
-	cols    []*types.ColVec
 }
 
 // NewTable builds a table and computes its page layout.
@@ -182,12 +176,6 @@ type Database struct {
 	Tables  map[string]*Table
 	Indexes map[string]*Index // keyed by table name (primary key index)
 	Stats   map[string]*catalog.TableStats
-	// ExactStats switches Load from the default streaming-sketch ANALYZE
-	// (catalog.AnalyzeRowsSketch, one bounded-memory pass) to the exact
-	// oracle (catalog.AnalyzeRows). The exact path exists for the
-	// differential stats tests, mirroring how Options.Interpret anchors
-	// the vectorized engine.
-	ExactStats bool
 }
 
 // NewDatabase returns an empty database over the given schema.
@@ -201,7 +189,8 @@ func NewDatabase(schema *catalog.Schema) *Database {
 }
 
 // Load installs rows for a schema table, builds its primary-key index and
-// analyzes it.
+// analyzes it with the streaming-sketch ANALYZE (catalog.AnalyzeRowsSketch,
+// one bounded-memory pass).
 func (db *Database) Load(name string, rows []Row) error {
 	meta, ok := db.Schema.Table(name)
 	if !ok {
@@ -217,11 +206,7 @@ func (db *Database) Load(name string, rows []Row) error {
 	if len(meta.PrimaryKey) > 0 {
 		db.Indexes[name] = BuildIndex(name+"_pkey", t, meta.PrimaryKey)
 	}
-	if db.ExactStats {
-		db.Stats[name] = catalog.AnalyzeRows(meta, rows)
-	} else {
-		db.Stats[name] = catalog.AnalyzeRowsSketch(meta, rows)
-	}
+	db.Stats[name] = catalog.AnalyzeRowsSketch(meta, rows)
 	return nil
 }
 

@@ -38,27 +38,14 @@ cleanup() {
 }
 trap cleanup EXIT
 
-# Full-query pairs (root package) + pure-expression pairs (internal/exec).
-# BenchmarkExecutionBatch is the batched columnar engine over the same
-# Q1/Q6/Q18 plans; its ratio to BenchmarkExprCompiled is the batch-engine
-# speedup (results are bit-identical by the differential suite).
-go test -run '^$' -bench 'BenchmarkExecutionQ6|BenchmarkExprCompiled|BenchmarkExprInterpreted|BenchmarkExecutionBatch' \
-	-benchmem -benchtime=1s "$@" . | tee "$tmp"
-go test -run '^$' -bench 'BenchmarkScalarEval' \
-	-benchmem -benchtime=1s "$@" ./internal/exec/ | tee -a "$tmp"
-# Cold planning vs trace replay: the per-query optimization cost the
-# plan cache amortizes (BENCH_plancache.json below holds the end-to-end
-# serving view of the same trade).
-go test -run '^$' -bench 'BenchmarkPlanSQL|BenchmarkPlanReplay' \
-	-benchmem -benchtime=1s "$@" ./internal/opt/ | tee -a "$tmp"
-
-# Convert `go test -bench` lines into JSON with awk (stdlib-only repo:
-# no benchstat). A bench line looks like:
+# bench_json IN OUT [BASELINE]: convert the `go test -bench` lines in IN
+# into JSON at OUT with awk (stdlib-only repo: no benchstat). BASELINE,
+# when given, is one frozen JSON object printed as the "baseline" array
+# ahead of the fresh figures. A bench line looks like:
 #   BenchmarkFoo/sub-8  123  456 ns/op  789 B/op  12 allocs/op
-awk -v goversion="$(go version)" '
-BEGIN {
-	n = 0
-}
+bench_json() {
+	awk -v goversion="$(go version)" -v baseline="${3:-}" '
+BEGIN { n = 0 }
 /^Benchmark/ {
 	name = $1
 	sub(/-[0-9]+$/, "", name) # strip -GOMAXPROCS suffix
@@ -83,76 +70,45 @@ END {
 	}
 	print "{"
 	printf "  \"go\": \"%s\",\n", goversion
-	# Frozen pre-batch-engine reference (the row engine as recorded the
-	# day the vectorized engine landed, same box): the denominator for
-	# the batch-engine speedup, kept verbatim so later regenerations on
-	# faster row engines do not silently move the goalposts.
-	print "  \"baseline\": ["
-	print "    {\"name\": \"BenchmarkExprCompiled/q1\", \"iterations\": 64, \"ns_per_op\": 16034654, \"bytes_per_op\": 212936, \"allocs_per_op\": 723},"
-	print "    {\"name\": \"BenchmarkExprCompiled/q6\", \"iterations\": 355, \"ns_per_op\": 3483115, \"bytes_per_op\": 202280, \"allocs_per_op\": 683},"
-	print "    {\"name\": \"BenchmarkExprCompiled/q18\", \"iterations\": 18, \"ns_per_op\": 72256549, \"bytes_per_op\": 55041916, \"allocs_per_op\": 101196}"
-	print "  ],"
+	if (baseline != "") {
+		print "  \"baseline\": ["
+		printf "    %s\n", baseline
+		print "  ],"
+	}
 	print "  \"benchmarks\": ["
 	for (i = 0; i < n; i++) printf "%s%s\n", lines[i], (i < n - 1 ? "," : "")
 	print "  ]"
 	print "}"
 }
-' "$tmp" > "$out"
+' "$1" > "$2"
+	printf '\nwrote %s (%s benchmark lines)\n' "$2" "$(grep -c '"name"' "$2")"
+}
 
-printf '\nwrote %s (%s benchmark lines)\n' "$out" "$(grep -c '"name"' "$out")"
+# Full-query pairs (root package) + pure-expression pairs (internal/exec).
+go test -run '^$' -bench 'BenchmarkExecutionQ6|BenchmarkExprCompiled|BenchmarkExprInterpreted' \
+	-benchmem -benchtime=1s "$@" . | tee "$tmp"
+go test -run '^$' -bench 'BenchmarkScalarEval' \
+	-benchmem -benchtime=1s "$@" ./internal/exec/ | tee -a "$tmp"
+# Cold planning vs trace replay: the per-query optimization cost the
+# plan cache amortizes (BENCH_plancache.json below holds the end-to-end
+# serving view of the same trade).
+go test -run '^$' -bench 'BenchmarkPlanSQL|BenchmarkPlanReplay' \
+	-benchmem -benchtime=1s "$@" ./internal/opt/ | tee -a "$tmp"
+
+bench_json "$tmp" "$out"
 
 # --- ANALYZE statistics benchmark -------------------------------------
 # One pass over lineitem at SF 0.1 (~600k rows) per path: the streaming
 # sketch ANALYZE (production) vs the exact oracle (differential tests).
-# The baseline block freezes the exact-path figures recorded the day the
-# sketch path landed, so the sketch's memory/alloc advantage is always
-# measured against the same denominator.
-stats_out=BENCH_stats.json
-stats_tmp="$(mktemp)"
-
+# The baseline freezes the exact-path figures recorded the day the
+# sketch path landed (~3.1s, 247 MB, 8.1M allocs per pass), so the
+# sketch's memory/alloc advantage is always measured against the same
+# denominator.
 go test -run '^$' -bench BenchmarkAnalyzeStats -benchmem -benchtime=1x \
-	"$@" ./internal/tpch/ | tee "$stats_tmp"
+	"$@" ./internal/tpch/ | tee "$tmp"
 
-awk -v goversion="$(go version)" '
-BEGIN { n = 0 }
-/^Benchmark/ {
-	name = $1
-	sub(/-[0-9]+$/, "", name)
-	iters = $2
-	ns = ""; bytes = ""; allocs = ""
-	for (i = 3; i < NF; i++) {
-		if ($(i + 1) == "ns/op") ns = $i
-		if ($(i + 1) == "B/op") bytes = $i
-		if ($(i + 1) == "allocs/op") allocs = $i
-	}
-	if (ns == "") next
-	line = sprintf("    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s", name, iters, ns)
-	if (bytes != "") line = line sprintf(", \"bytes_per_op\": %s", bytes)
-	if (allocs != "") line = line sprintf(", \"allocs_per_op\": %s", allocs)
-	line = line "}"
-	lines[n++] = line
-}
-END {
-	if (n == 0) {
-		print "no stats benchmark lines parsed" > "/dev/stderr"
-		exit 1
-	}
-	print "{"
-	printf "  \"go\": \"%s\",\n", goversion
-	# Frozen exact-ANALYZE reference (lineitem, SF 0.1, the day the
-	# sketch path landed): ~3.1s, 247 MB, 8.1M allocs per pass.
-	print "  \"baseline\": ["
-	print "    {\"name\": \"BenchmarkAnalyzeStats/exact/lineitem\", \"iterations\": 1, \"ns_per_op\": 3123666067, \"bytes_per_op\": 247272304, \"allocs_per_op\": 8094467}"
-	print "  ],"
-	print "  \"benchmarks\": ["
-	for (i = 0; i < n; i++) printf "%s%s\n", lines[i], (i < n - 1 ? "," : "")
-	print "  ]"
-	print "}"
-}
-' "$stats_tmp" > "$stats_out"
-rm -f "$stats_tmp"
-
-printf '\nwrote %s (%s benchmark lines)\n' "$stats_out" "$(grep -c '"name"' "$stats_out")"
+bench_json "$tmp" BENCH_stats.json \
+	'{"name": "BenchmarkAnalyzeStats/exact/lineitem", "iterations": 1, "ns_per_op": 3123666067, "bytes_per_op": 247272304, "allocs_per_op": 8094467}'
 
 # --- plan-cache benchmark ---------------------------------------------
 # Per-request planning cost on the three serving paths (cold, exact-

@@ -12,12 +12,11 @@
 #                    with BenchmarkAnalyzeRepo; see internal/analysis
 #                    and DESIGN.md §12
 #   5. go test -race — the full suite under the race detector. This
-#                    includes the vectorized differential suite
-#                    (TestVectorizedMatchesRowEngine: all 18 templates
-#                    under Options.Vectorize on/off asserting identical
-#                    rows and a bit-identical virtual clock), so the
-#                    batch engine's equivalence proof runs under -race
-#                    on every CI pass without a second multi-minute run
+#                    includes the compiled-vs-interpreted whole-query
+#                    differential (all 18 templates asserting identical
+#                    rows and a bit-identical virtual clock) and the
+#                    sketch-vs-exact statistics suite, so both oracles
+#                    run under -race on every CI pass
 #   6. coverage    — statement coverage floor over the -short suite
 #   7. fuzz smoke  — 5s of FuzzParse on the SQL grammar
 #   8. serve smoke — 5s of FuzzPredictRequest on the qppserve /predict
@@ -28,7 +27,7 @@
 #  10. plancache smoke — 5s of FuzzCanonicalSignature on the plan-cache
 #                    template signature (literal perturbation must never
 #                    change a query's canonical key; see
-#                    internal/plancache and DESIGN.md §15)
+#                    internal/plancache and DESIGN.md §14)
 #
 # The parallel execution layer (internal/parallel, workload builds, fold
 # training, figure drivers) is only trusted because stage 5 passes clean;
