@@ -124,7 +124,7 @@ func hotEntryPoint(pkgPath string, fd *ast.FuncDecl) bool {
 		return name == "ServeHTTP" || strings.HasPrefix(name, "handle") || strings.HasPrefix(name, "wrap")
 	case "qpp/internal/plancache":
 		// Plan (and everything it reaches: canonicalization, literal
-		// rebinding, candidate replay, selector scoring) runs once per
+		// rebinding, candidate replay and cost comparison) runs once per
 		// served request; Canonicalize additionally runs on every lookup.
 		return name == "Plan" || name == "Canonicalize"
 	}

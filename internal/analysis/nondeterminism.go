@@ -26,9 +26,9 @@ var DeterministicCore = []string{
 	"qpp/internal/mlearn",
 	"qpp/internal/qpp",
 	// The plan cache's Build must be replayable (same workload, same
-	// candidate sets and selector) and its Plan must never consult wall
-	// clock or global randomness: cache decisions are part of the
-	// deterministic serving contract.
+	// candidate sets) and its Plan must never consult wall clock or
+	// global randomness: cache decisions are part of the deterministic
+	// serving contract.
 	"qpp/internal/plancache",
 }
 

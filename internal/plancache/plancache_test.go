@@ -29,6 +29,11 @@ func tpchDB(t testing.TB) *storage.Database {
 	return testDBCache
 }
 
+// withoutMemo clears c's exact-match memo so every hit takes the rebind
+// path: for tests that execute (and so mutate) the plans Plan returns,
+// or that exercise the parametric path on training-draw texts.
+func withoutMemo(c *Cache) *Cache { c.exact = nil; return c }
+
 func genSQL(t testing.TB, tmpl int, seed int64) string {
 	t.Helper()
 	gq, err := tpch.GenQuery(tmpl, rand.New(rand.NewSource(seed)))
@@ -167,10 +172,11 @@ func TestCachedPlanBitIdentical(t *testing.T) {
 		q := genSQL(t, tmpl, 42)
 		// Exact memo off: this test executes the plans Plan returns, and
 		// its subject is the rebind path.
-		cache, err := Build(db, []string{q}, Config{DisableExactPlans: true})
+		cache, err := Build(db, []string{q}, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		withoutMemo(cache)
 		if cache.Len() != 1 {
 			t.Fatalf("template %d: cache size %d", tmpl, cache.Len())
 		}
@@ -225,7 +231,9 @@ func compareRows(t *testing.T, tmpl int, a, b []plan.Row) {
 // trained on one set of draws serves unseen draws of every template, and
 // the cache-chosen plan must return exactly the rows the cold optimizer
 // plan returns. When the cache happens to choose the same join order,
-// virtual latency must also be bit-identical.
+// virtual latency must also be bit-identical. For templates with several
+// candidates, the served plan must be the first lowest-cost replay of
+// the request over every candidate.
 func TestCacheDifferential(t *testing.T) {
 	db := tpchDB(t)
 	const trainDraws = 5
@@ -235,13 +243,14 @@ func TestCacheDifferential(t *testing.T) {
 			train = append(train, genSQL(t, tmpl, 1000+d))
 		}
 	}
-	cache, err := Build(db, train, Config{LabelSeed: 77, MaxLabelDraws: 5})
+	cache, err := Build(db, train, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cache.Len() != len(tpch.Templates) {
 		t.Fatalf("cache covers %d of %d templates", cache.Len(), len(tpch.Templates))
 	}
+	multi := 0
 	prof := vclock.DefaultProfile()
 	for _, tmpl := range tpch.Templates {
 		for d := int64(0); d < 3; d++ {
@@ -257,6 +266,14 @@ func TestCacheDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			sig, _, err := Canonicalize(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cands := cache.Template(sig).Candidates; len(cands) > 1 {
+				multi++
+				checkMinCost(t, db, tmpl, q, cands, cached)
+			}
 			rf, err := exec.Run(db, fresh, vclock.NewClock(prof, 300+d), exec.Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -271,6 +288,35 @@ func TestCacheDifferential(t *testing.T) {
 				t.Fatalf("template %d draw %d: identical plans, diverged latency", tmpl, d)
 			}
 		}
+	}
+	if multi == 0 {
+		t.Fatal("no template has more than one candidate; the min-cost check is vacuous")
+	}
+}
+
+// checkMinCost replays a fresh parse of q over every candidate and
+// requires got to be the first replay with the lowest estimated cost.
+func checkMinCost(t *testing.T, db *storage.Database, tmpl int, q string, cands []Candidate, got *plan.Node) {
+	t.Helper()
+	stmt, err := sql.Parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var best *plan.Node
+	for i := range cands {
+		p, err := opt.PlanReplay(db, stmt, cands[i].Trace)
+		if err != nil {
+			t.Fatalf("template %d candidate %d: %v", tmpl, i, err)
+		}
+		if best == nil || p.Est.TotalCost < best.Est.TotalCost {
+			best = p
+		}
+	}
+	if math.Float64bits(got.Est.TotalCost) != math.Float64bits(best.Est.TotalCost) {
+		t.Fatalf("template %d: served cost %v, minimum over %d candidates %v", tmpl, got.Est.TotalCost, len(cands), best.Est.TotalCost)
+	}
+	if plan.Explain(got) != plan.Explain(best) {
+		t.Fatalf("template %d: served plan is not the first lowest-cost candidate", tmpl)
 	}
 }
 
@@ -321,26 +367,28 @@ func TestExactMatchMemo(t *testing.T) {
 	if plan.Explain(n1) != plan.Explain(cold) {
 		t.Fatal("memoized plan diverges from cold plan")
 	}
-	// DisableExactPlans forces every hit through the rebind path.
-	nox, err := Build(db, []string{q}, Config{DisableExactPlans: true})
-	if err != nil {
-		t.Fatal(err)
+	// Without the memo the same text rebinds a fresh node with the same
+	// plan.
+	r1, out, err := withoutMemo(cache).Plan(q)
+	if err != nil || out != OutcomeHit {
+		t.Fatalf("rebind of memoized text: err %v outcome %d", err, out)
 	}
-	if nox.ExactLen() != 0 {
-		t.Fatalf("ExactLen = %d with memo disabled", nox.ExactLen())
+	if r1 == n1 || plan.Explain(r1) != plan.Explain(n1) {
+		t.Fatal("memo entry must equal a fresh rebind of its text")
 	}
 }
 
 // TestCacheMissAndFallback pins the outcome taxonomy. The exact-match
-// memo is disabled so every call exercises the parametric path (the
+// memo is cleared so every call exercises the parametric path (the
 // corrupt-trace case below replans a training-draw text).
 func TestCacheMissAndFallback(t *testing.T) {
 	db := tpchDB(t)
 	q := genSQL(t, 3, 10)
-	cache, err := Build(db, []string{q}, Config{DisableExactPlans: true})
+	cache, err := Build(db, []string{q}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	withoutMemo(cache)
 	// Unknown signature: cold plan, miss.
 	node, out, err := cache.Plan("select count(*) from lineitem")
 	if err != nil || node == nil {

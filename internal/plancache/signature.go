@@ -1,14 +1,14 @@
-// Package plancache implements a Kepler-style parametric plan cache for
-// the serving hot path: queries are keyed by a canonical template
-// signature (the token stream with literals stripped), each template
-// holds a small set of candidate plan skeletons (recorded join-order
-// traces from internal/opt), and a learned selector picks the fastest
-// candidate from the parameter binding's selectivity features, falling
-// back to cost-based choice when its confidence is low. A cache hit
-// skips parse and DP join ordering entirely: the template AST is cloned,
-// the request's literals are stamped in, and the recorded merge trace is
-// replayed through the ordinary planner — so a hit's plan is produced by
-// exactly the code that cold planning runs, with bit-identical costs.
+// Package plancache implements a parametric plan cache for the serving
+// hot path: queries are keyed by a canonical template signature (the
+// token stream with literals stripped), and each template holds a small
+// set of candidate plan skeletons (recorded join-order traces from
+// internal/opt). A cache hit skips parse and DP join ordering entirely:
+// the template AST is cloned, the request's literals are stamped in, and
+// each candidate's merge trace is replayed through the ordinary planner
+// — so a hit's plan is produced by exactly the code that cold planning
+// runs, with bit-identical costs. Among the candidates, the lowest
+// estimated cost wins, the same rule the optimizer applies. Training
+// texts are also memoized whole, so a repeat is one map lookup.
 //
 // The package is part of the deterministic core and the hot-path
 // allocation discipline: no wall clock, no global rand, no map-order

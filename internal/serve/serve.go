@@ -93,13 +93,11 @@ type Server struct {
 	publishes obs.CCounter
 	reloads   obs.CCounter
 
-	// Parametric plan-cache counters: hits (any cache-served plan),
-	// misses (cold-planned: unknown signature, no cache in the snapshot,
-	// or hit-path fallback), and selector fallbacks (cache-served but the
-	// learned selector declined and the cost-based choice was used).
-	cacheHits      obs.CCounter
-	cacheMisses    obs.CCounter
-	cacheFallbacks obs.CCounter
+	// Parametric plan-cache counters: hits (served from the exact-match
+	// memo or a rebound candidate) and misses (cold-planned: unknown
+	// signature, no cache in the snapshot, or hit-path fallback).
+	cacheHits   obs.CCounter
+	cacheMisses obs.CCounter
 
 	now      func() float64
 	reload   func() (*Snapshot, error)
@@ -308,13 +306,9 @@ func (s *Server) planFor(snap *Snapshot, sqlText string) (node *plan.Node, err e
 	if err != nil {
 		return nil, err
 	}
-	switch outcome {
-	case plancache.OutcomeHit:
+	if outcome == plancache.OutcomeHit {
 		s.cacheHits.Inc()
-	case plancache.OutcomeHitFallback:
-		s.cacheHits.Inc()
-		s.cacheFallbacks.Inc()
-	default:
+	} else {
 		s.cacheMisses.Inc()
 	}
 	return node, nil
@@ -487,7 +481,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 	reg.SetCounter("serve.reloads", float64(s.reloads.Load()))
 	reg.SetCounter("plancache.hit", float64(s.cacheHits.Load()))
 	reg.SetCounter("plancache.miss", float64(s.cacheMisses.Load()))
-	reg.SetCounter("plancache.selector_fallback", float64(s.cacheFallbacks.Load()))
 	snap := s.snap.Load()
 	reg.SetCounter("serve.snapshot.plan_models", float64(snap.Hybrid.NumPlanModels()))
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")

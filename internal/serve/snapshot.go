@@ -182,7 +182,7 @@ func TrainSnapshot(cfg TrainConfig) (*Snapshot, *storage.Database, error) {
 	for i, rec := range ds.Records {
 		sqls[i] = rec.SQL
 	}
-	cache, err := plancache.Build(ds.DB, sqls, plancache.Config{LabelSeed: cfg.Seed})
+	cache, err := plancache.Build(ds.DB, sqls, plancache.Config{})
 	if err != nil {
 		return nil, nil, fmt.Errorf("serve: build plan cache: %w", err)
 	}

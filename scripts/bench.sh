@@ -8,7 +8,7 @@
 # Q6 hot path while allocs/op stay at or below the interpreted figures.
 #
 #   scripts/bench.sh            # ~3 min, writes BENCH_exec.json + BENCH_stats.json
-#                               #         + BENCH_plancache.json + BENCH_serve.json
+#                               #         + BENCH_serve.json
 #   scripts/bench.sh -benchtime 5x   # extra args go to `go test`
 #
 # Output schema (one object per benchmark line):
@@ -90,8 +90,9 @@ go test -run '^$' -bench 'BenchmarkExecutionQ6|BenchmarkExprCompiled|BenchmarkEx
 go test -run '^$' -bench 'BenchmarkScalarEval' \
 	-benchmem -benchtime=1s "$@" ./internal/exec/ | tee -a "$tmp"
 # Cold planning vs trace replay: the per-query optimization cost the
-# plan cache amortizes (BENCH_plancache.json below holds the end-to-end
-# serving view of the same trade).
+# plan cache amortizes (perfbench's per-layer plancache.memo_us,
+# plancache.rebind_us and opt.plan_miss_us hold the serving view of the
+# same trade).
 go test -run '^$' -bench 'BenchmarkPlanSQL|BenchmarkPlanReplay' \
 	-benchmem -benchtime=1s "$@" ./internal/opt/ | tee -a "$tmp"
 
@@ -109,18 +110,6 @@ go test -run '^$' -bench BenchmarkAnalyzeStats -benchmem -benchtime=1x \
 
 bench_json "$tmp" BENCH_stats.json \
 	'{"name": "BenchmarkAnalyzeStats/exact/lineitem", "iterations": 1, "ns_per_op": 3123666067, "bytes_per_op": 247272304, "allocs_per_op": 8094467}'
-
-# --- plan-cache benchmark ---------------------------------------------
-# Per-request planning cost on the three serving paths (cold, exact-
-# match hit, parametric rebind) plus the plan-quality differential for
-# held-out parameter draws. The frozen no-cache baseline lives inside
-# qppcachebench (frozenColdUS) and is embedded in the JSON; the command
-# exits non-zero if any gate (>=10x hit speedup, >=90% win rate, zero
-# divergence) fails.
-go build -o "$bindir/qppcachebench" ./cmd/qppcachebench
-"$bindir/qppcachebench" -out BENCH_plancache.json
-
-printf '\nwrote BENCH_plancache.json (%s templates)\n' "$(grep -c '"template"' BENCH_plancache.json)"
 
 # --- serving load benchmark -------------------------------------------
 # qppload self-waits on /healthz, so no curl/sleep polling here; the
