@@ -385,31 +385,6 @@ func BenchmarkPlanningThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkExecutionQ6 measures executor throughput on template 6.
-func BenchmarkExecutionQ6(b *testing.B) {
-	skipIfShort(b)
-	db, err := tpch.Generate(tpch.GenConfig{ScaleFactor: 0.005, Seed: 6})
-	if err != nil {
-		b.Fatal(err)
-	}
-	q, err := tpch.GenQuery(6, newRand(6))
-	if err != nil {
-		b.Fatal(err)
-	}
-	node, err := opt.PlanSQL(db, q.SQL)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prof := vclock.DefaultProfile()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := exec.Run(db, node, vclock.NewClock(prof, int64(i)), exec.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // benchmarkExecQuery executes one planned instance of a template end to
 // end under the given engine options, reporting allocations. The plan is
 // built once outside the timer; each iteration re-runs it on a fresh
@@ -438,10 +413,11 @@ func benchmarkExecQuery(b *testing.B, tmpl int, opts exec.Options) {
 	}
 }
 
-// BenchmarkExprCompiled runs the Q1/Q6/Q18 hot paths through the
-// expression compiler (the default execution mode).
+// BenchmarkExprCompiled runs the Q1/Q6 expression hot paths and the
+// Q9/Q18 hash-join hot paths through the expression compiler (the default
+// execution mode).
 func BenchmarkExprCompiled(b *testing.B) {
-	for _, tmpl := range []int{1, 6, 18} {
+	for _, tmpl := range []int{1, 6, 9, 18} {
 		b.Run(fmt.Sprintf("q%d", tmpl), func(b *testing.B) { benchmarkExecQuery(b, tmpl, exec.Options{}) })
 	}
 }
@@ -451,7 +427,7 @@ func BenchmarkExprCompiled(b *testing.B) {
 // BenchmarkExprCompiled is the headline speedup recorded in
 // BENCH_exec.json.
 func BenchmarkExprInterpreted(b *testing.B) {
-	for _, tmpl := range []int{1, 6, 18} {
+	for _, tmpl := range []int{1, 6, 9, 18} {
 		b.Run(fmt.Sprintf("q%d", tmpl), func(b *testing.B) { benchmarkExecQuery(b, tmpl, exec.Options{Interpret: true}) })
 	}
 }

@@ -194,9 +194,10 @@ func runScalarPlan(ctx *execCtx, p *plan.Node) (types.Value, error) {
 // build constructs the iterator tree for a plan node, wrapping every
 // operator in instrumentation. reuse tells the operator that its parent
 // never retains an emitted row past the next call, so operators that
-// allocate output rows (projections, joins) may overwrite one buffer in
-// place. It is false at every root: Run and runScalarPlan both hold rows
-// after the producing Next returns.
+// make output rows (projections, joins) overwrite one buffer in place;
+// without it they carve each emitted row from a slab (rowAlloc). It is
+// false at every root: Run and runScalarPlan both hold rows after the
+// producing Next returns.
 func build(ctx *execCtx, n *plan.Node, reuse bool) (iterator, error) {
 	var inner iterator
 	switch n.Op {
@@ -224,7 +225,7 @@ func build(ctx *execCtx, n *plan.Node, reuse bool) (iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		inner = &project{node: n, child: child, reuse: reuse}
+		inner = &project{node: n, child: child, out: rowAlloc{reuse: reuse}}
 	case plan.OpLimit:
 		child, err := build(ctx, n.Children[0], reuse)
 		if err != nil {
@@ -250,13 +251,12 @@ func build(ctx *execCtx, n *plan.Node, reuse bool) (iterator, error) {
 		}
 		inner = &passthrough{node: n, child: child}
 	case plan.OpHashJoin, plan.OpHashSemiJoin, plan.OpHashAntiJoin:
-		// Build rows live in the hash table. Probe rows are safe to reuse
-		// under the parent's retention contract: the join never re-reads the
-		// current probe row after pulling the next one — matches drain
-		// against a held row, and semi/anti forward the row itself, which
-		// the parent is done with before the join advances — so the parent's
-		// reuse flag propagates to the probe child.
-		left, err := build(ctx, n.Children[0], reuse)
+		// Build rows live in the hash table. The probe child always reuses:
+		// the join never re-reads a probe row after pulling the next one —
+		// inner and left joins copy it into their output rows, and semi/anti
+		// joins, which forward the row itself, copy it only when the parent
+		// retains rows.
+		left, err := build(ctx, n.Children[0], true)
 		if err != nil {
 			return nil, err
 		}
@@ -264,7 +264,7 @@ func build(ctx *execCtx, n *plan.Node, reuse bool) (iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		inner = &hashJoin{node: n, left: left, right: right, reuse: reuse}
+		inner = &hashJoin{node: n, left: left, right: right, out: rowAlloc{reuse: reuse}}
 	case plan.OpMergeJoin:
 		// The current left row and the buffered right group both persist
 		// across Next calls.
@@ -276,7 +276,7 @@ func build(ctx *execCtx, n *plan.Node, reuse bool) (iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		inner = &mergeJoin{node: n, left: left, right: right, reuse: reuse}
+		inner = &mergeJoin{node: n, left: left, right: right, out: rowAlloc{reuse: reuse}}
 	case plan.OpNestedLoop:
 		// The outer row is held across the inner scan; inner rows are
 		// consumed immediately by the concat.
@@ -288,7 +288,7 @@ func build(ctx *execCtx, n *plan.Node, reuse bool) (iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		inner = &nestedLoop{node: n, outer: left, inner: right, reuse: reuse}
+		inner = &nestedLoop{node: n, outer: left, inner: right, out: rowAlloc{reuse: reuse}}
 	case plan.OpHashAggregate, plan.OpGroupAgg, plan.OpAggregate:
 		child, err := build(ctx, n.Children[0], true) // rows only accumulated
 		if err != nil {

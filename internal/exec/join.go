@@ -5,58 +5,24 @@ import (
 	"qpp/internal/types"
 )
 
-// appendJoinKey renders the hash-key values of a row into buf (reused by
-// the caller across rows); a null in any key column yields ok=false
-// (nulls never join).
-func appendJoinKey(ctx *execCtx, fns []evalFn, row plan.Row, buf []byte) ([]byte, bool) {
-	buf = buf[:0]
-	for i, fn := range fns {
-		v := fn(ctx.ectx, row)
-		if v.IsNull() {
-			return buf, false
-		}
-		if i > 0 {
-			buf = append(buf, 0)
-		}
-		buf = v.AppendKey(buf)
-	}
-	return buf, true
-}
-
-// concatInto overwrites dst with a followed by b, reusing dst's backing
-// array when it has capacity. Joins keep one scratch row and drop it
-// (forcing a fresh allocation) whenever a concatenated row escapes to a
-// parent that retains rows.
-func concatInto(dst, a, b plan.Row) plan.Row {
-	n := len(a) + len(b)
-	if cap(dst) < n {
-		dst = make(plan.Row, 0, n) // one exact-size array, not two append growths
-	}
-	dst = append(dst[:0], a...)
-	return append(dst, b...)
-}
-
 // hashJoin implements inner, left-outer, semi, and anti hash joins. The
 // right child (wrapped in a Hash node by the planner) is the build side.
 type hashJoin struct {
 	node  *plan.Node
 	left  iterator
 	right iterator
-	reuse bool // parent never retains emitted rows
 
-	table      map[string][]plan.Row
-	built      bool
+	table      joinTable
 	nullRight  plan.Row
 	cur        plan.Row // current left row with pending matches
-	curMatches []plan.Row
-	curIdx     int
+	matches    []int32  // cur's entries that passed the join filter (table-owned)
+	matchIdx   int
+	key        []types.Value // reused probe/build key
 	keysL      []evalFn
 	keysR      []evalFn
 	filter     compiledFilter
 	joinF      compiledFilter
-	keyBuf     []byte   // reused rendered-key buffer
-	scratch    plan.Row // reused output row
-	buildRows  float64
+	out        rowAlloc
 	buildBytes float64
 }
 
@@ -66,6 +32,7 @@ func (h *hashJoin) Open(ctx *execCtx) error {
 	h.joinF = ctx.compileFilter(h.node.JoinFilter)
 	h.keysL = ctx.compileScalars(h.node.HashKeysL)
 	h.keysR = ctx.compileScalars(h.node.HashKeysR)
+	h.key = make([]types.Value, len(h.keysR))
 	h.nullRight = make(plan.Row, len(h.node.Children[1].Cols))
 	for i := range h.nullRight {
 		h.nullRight[i] = types.Null
@@ -90,9 +57,8 @@ func (h *hashJoin) buildHint() int {
 }
 
 func (h *hashJoin) build(ctx *execCtx) error {
-	h.table = make(map[string][]plan.Row, h.buildHint())
-	h.built = true
-	h.buildRows, h.buildBytes = 0, 0
+	h.table.reset(len(h.keysR), h.buildHint())
+	h.buildBytes = 0
 	if err := h.right.Open(ctx); err != nil {
 		return err
 	}
@@ -104,19 +70,16 @@ func (h *hashJoin) build(ctx *execCtx) error {
 		if !ok {
 			break
 		}
-		var hasKey bool
-		h.keyBuf, hasKey = appendJoinKey(ctx, h.keysR, row, h.keyBuf)
-		if !hasKey {
+		if !evalJoinKey(ctx, h.keysR, row, h.key) {
 			continue
 		}
 		ctx.clock.HashOps(1)
-		bucket := h.table[string(h.keyBuf)] // no-alloc probe
-		h.table[string(h.keyBuf)] = append(bucket, row)
-		h.buildRows++
+		h.table.insert(hashKey(h.key), h.key, row)
 		for _, v := range row {
 			h.buildBytes += float64(v.Width())
 		}
 	}
+	h.table.finish()
 	// Spill batches when the build side exceeds work_mem, as a real hash
 	// join would (charged as write+read of the overflow).
 	workBytes := float64(ctx.clock.WorkMemPages()) * 8192
@@ -129,33 +92,65 @@ func (h *hashJoin) build(ctx *execCtx) error {
 	return nil
 }
 
-// emitScratch hands the scratch-backed row out to the parent; when the
-// parent retains rows, the scratch is dropped so the next concat
-// allocates a fresh backing array.
-func (h *hashJoin) emitScratch(out plan.Row) plan.Row {
-	if h.reuse {
-		h.scratch = out
-	} else {
-		h.scratch = nil
+// probe collects the table entries matching left's key that pass the
+// join filter into h.matches, in build order.
+func (h *hashJoin) probe(ctx *execCtx, left plan.Row) {
+	h.matches = nil
+	if !evalJoinKey(ctx, h.keysL, left, h.key) {
+		return
 	}
+	h.matches = h.table.lookup(hashKey(h.key), h.key)
+	if h.node.JoinFilter == nil || len(h.matches) == 0 {
+		return
+	}
+	// Evaluate the join filter over every match before any is emitted, so
+	// semi/anti/left joins decide match existence on the filtered set.
+	// The candidate row is never kept, so its slot is free again after.
+	kept := h.matches[:0]
+	for _, e := range h.matches {
+		right := h.table.rows[e]
+		if h.joinF.eval(ctx, h.out.concat(left, right)) {
+			kept = append(kept, e)
+		}
+	}
+	h.matches = kept
+}
+
+// emit concatenates left and right into an output row and returns it if
+// the node filter passes; a rejected row's slot is reused.
+func (h *hashJoin) emit(ctx *execCtx, left, right plan.Row) (plan.Row, bool) {
+	out := h.out.concat(left, right)
+	ctx.clock.CPUTuples(1)
+	if !h.filter.eval(ctx, out) {
+		return nil, false
+	}
+	h.out.keep(out)
+	return out, true
+}
+
+// forward returns the probe row itself (semi/anti joins). The probe child
+// may overwrite it on its next call, so a retaining parent gets a copy.
+func (h *hashJoin) forward(left plan.Row) plan.Row {
+	if h.out.reuse {
+		return left
+	}
+	out := h.out.next(len(left))
+	copy(out, left)
+	h.out.keep(out)
 	return out
 }
 
 // Next implements iterator.
 func (h *hashJoin) Next(ctx *execCtx) (plan.Row, bool, error) {
 	for {
-		// Emit pending matches of the current left row. curMatches have
-		// already passed the join filter.
-		for h.cur != nil && h.curIdx < len(h.curMatches) {
-			right := h.curMatches[h.curIdx]
-			h.curIdx++
-			out := concatInto(h.scratch, h.cur, right)
-			h.scratch = out
-			ctx.clock.CPUTuples(1)
-			if !h.filter.eval(ctx, out) {
-				continue
+		// Emit pending matches of the current left row. They have already
+		// passed the join filter.
+		for h.cur != nil && h.matchIdx < len(h.matches) {
+			right := h.table.rows[h.matches[h.matchIdx]]
+			h.matchIdx++
+			if out, ok := h.emit(ctx, h.cur, right); ok {
+				return out, true, nil
 			}
-			return h.emitScratch(out), true, nil
 		}
 		h.cur = nil
 
@@ -167,57 +162,35 @@ func (h *hashJoin) Next(ctx *execCtx) (plan.Row, bool, error) {
 			return nil, false, nil
 		}
 		ctx.clock.HashOps(1)
-		var hasKey bool
-		h.keyBuf, hasKey = appendJoinKey(ctx, h.keysL, left, h.keyBuf)
-		var matches []plan.Row
-		if hasKey {
-			matches = h.table[string(h.keyBuf)] // no-alloc probe
-		}
-		// Apply the join filter for semi/anti/left semantics before deciding
-		// match existence.
-		if h.node.JoinFilter != nil && len(matches) > 0 {
-			kept := make([]plan.Row, 0, len(matches))
-			for _, r := range matches {
-				h.scratch = concatInto(h.scratch, left, r)
-				if h.joinF.eval(ctx, h.scratch) {
-					kept = append(kept, r)
-				}
-			}
-			matches = kept
-		}
+		h.probe(ctx, left)
 		switch h.node.JoinType {
 		case plan.JoinSemi:
-			if len(matches) > 0 {
+			if len(h.matches) > 0 {
 				ctx.clock.CPUTuples(1)
 				if h.filter.eval(ctx, left) {
-					return left, true, nil
+					return h.forward(left), true, nil
 				}
 			}
 		case plan.JoinAnti:
-			if len(matches) == 0 {
+			if len(h.matches) == 0 {
 				ctx.clock.CPUTuples(1)
 				if h.filter.eval(ctx, left) {
-					return left, true, nil
+					return h.forward(left), true, nil
 				}
 			}
 		case plan.JoinLeft:
-			if len(matches) == 0 {
-				out := concatInto(h.scratch, left, h.nullRight)
-				h.scratch = out
-				ctx.clock.CPUTuples(1)
-				if h.filter.eval(ctx, out) {
-					return h.emitScratch(out), true, nil
+			if len(h.matches) == 0 {
+				if out, ok := h.emit(ctx, left, h.nullRight); ok {
+					return out, true, nil
 				}
 				continue
 			}
 			h.cur = left
-			h.curMatches = matches
-			h.curIdx = 0
+			h.matchIdx = 0
 		default: // inner
-			if len(matches) > 0 {
+			if len(h.matches) > 0 {
 				h.cur = left
-				h.curMatches = matches
-				h.curIdx = 0
+				h.matchIdx = 0
 			}
 		}
 	}
@@ -226,7 +199,7 @@ func (h *hashJoin) Next(ctx *execCtx) (plan.Row, bool, error) {
 // ReScan implements iterator.
 func (h *hashJoin) ReScan(ctx *execCtx, outer plan.Row) error {
 	h.cur = nil
-	h.curMatches = nil
+	h.matches = nil
 	// The hash table survives a rescan; only the probe side restarts.
 	return h.left.ReScan(ctx, outer)
 }
@@ -235,7 +208,7 @@ func (h *hashJoin) ReScan(ctx *execCtx, outer plan.Row) error {
 func (h *hashJoin) Close() {
 	h.left.Close()
 	h.right.Close()
-	h.table = nil
+	h.table = joinTable{}
 }
 
 // nestedLoop joins by rescanning the inner side per outer row; the inner
@@ -244,14 +217,13 @@ type nestedLoop struct {
 	node       *plan.Node
 	outer      iterator
 	inner      iterator
-	reuse      bool
 	curOuter   plan.Row
 	innerValid bool
 	matched    bool
 	nullInner  plan.Row
 	joinF      compiledFilter
 	filter     compiledFilter
-	scratch    plan.Row
+	out        rowAlloc
 }
 
 // Open implements iterator.
@@ -268,15 +240,6 @@ func (n *nestedLoop) Open(ctx *execCtx) error {
 		return err
 	}
 	return n.inner.Open(ctx)
-}
-
-func (n *nestedLoop) emitScratch(out plan.Row) plan.Row {
-	if n.reuse {
-		n.scratch = out
-	} else {
-		n.scratch = nil
-	}
-	return out
 }
 
 // Next implements iterator.
@@ -315,18 +278,17 @@ func (n *nestedLoop) Next(ctx *execCtx) (plan.Row, bool, error) {
 				}
 			case plan.JoinLeft:
 				if !wasMatched {
-					out := concatInto(n.scratch, outerRow, n.nullInner)
-					n.scratch = out
+					out := n.out.concat(outerRow, n.nullInner)
 					ctx.clock.CPUTuples(1)
 					if n.filter.eval(ctx, out) {
-						return n.emitScratch(out), true, nil
+						n.out.keep(out)
+						return out, true, nil
 					}
 				}
 			}
 			continue
 		}
-		out := concatInto(n.scratch, n.curOuter, inner)
-		n.scratch = out
+		out := n.out.concat(n.curOuter, inner)
 		ctx.clock.CPUTuples(1)
 		if n.node.JoinFilter != nil && !n.joinF.eval(ctx, out) {
 			continue
@@ -343,7 +305,8 @@ func (n *nestedLoop) Next(ctx *execCtx) (plan.Row, bool, error) {
 			n.curOuter = nil // disqualified; next outer row
 		default:
 			if n.filter.eval(ctx, out) {
-				return n.emitScratch(out), true, nil
+				n.out.keep(out)
+				return out, true, nil
 			}
 		}
 	}
@@ -367,7 +330,6 @@ type mergeJoin struct {
 	node  *plan.Node
 	left  iterator
 	right iterator
-	reuse bool
 
 	leftRow   plan.Row
 	leftOK    bool
@@ -377,7 +339,7 @@ type mergeJoin struct {
 	groupIdx  int
 	filter    compiledFilter
 	joinF     compiledFilter
-	scratch   plan.Row
+	out       rowAlloc
 }
 
 // Open implements iterator.
@@ -422,15 +384,6 @@ func (m *mergeJoin) cmpKeys(a, b plan.Row) int {
 	return 0
 }
 
-func (m *mergeJoin) emitScratch(out plan.Row) plan.Row {
-	if m.reuse {
-		m.scratch = out
-	} else {
-		m.scratch = nil
-	}
-	return out
-}
-
 // Next implements iterator.
 func (m *mergeJoin) Next(ctx *execCtx) (plan.Row, bool, error) {
 	for {
@@ -438,8 +391,7 @@ func (m *mergeJoin) Next(ctx *execCtx) (plan.Row, bool, error) {
 		if m.groupIdx < len(m.rightRows) {
 			right := m.rightRows[m.groupIdx]
 			m.groupIdx++
-			out := concatInto(m.scratch, m.leftRow, right)
-			m.scratch = out
+			out := m.out.concat(m.leftRow, right)
 			ctx.clock.CPUTuples(1)
 			if m.node.JoinFilter != nil && !m.joinF.eval(ctx, out) {
 				continue
@@ -447,7 +399,8 @@ func (m *mergeJoin) Next(ctx *execCtx) (plan.Row, bool, error) {
 			if !m.filter.eval(ctx, out) {
 				continue
 			}
-			return m.emitScratch(out), true, nil
+			m.out.keep(out)
+			return out, true, nil
 		}
 		if !m.leftOK {
 			return nil, false, nil

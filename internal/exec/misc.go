@@ -217,17 +217,16 @@ func (l *limit) ReScan(ctx *execCtx, outer plan.Row) error {
 func (l *limit) Close() { l.child.Close() }
 
 // project evaluates the node's projection expressions (Result nodes) or
-// forwards rows with an optional filter (Subquery Scan nodes). When the
-// parent never retains rows (reuse), one output row is overwritten in
-// place.
+// forwards rows with an optional filter (Subquery Scan nodes). Output rows
+// come from a rowAlloc: one row overwritten in place when the parent never
+// retains rows, slab-carved rows otherwise.
 type project struct {
 	node     *plan.Node
 	child    iterator
-	reuse    bool
 	projFns  []evalFn
 	projCost plan.ExprCost
 	filter   compiledFilter
-	out      plan.Row // reused output row when reuse is set
+	out      rowAlloc
 }
 
 // Open implements iterator.
@@ -258,16 +257,11 @@ func (p *project) Next(ctx *execCtx) (plan.Row, bool, error) {
 			return row, true, nil
 		}
 		ctx.clock.CPUOps(p.projCost.Ops, p.projCost.NumericOps)
-		out := p.out
-		if out == nil {
-			out = make(plan.Row, len(p.projFns))
-		}
+		out := p.out.next(len(p.projFns))
 		for i, fn := range p.projFns {
 			out[i] = fn(ctx.ectx, row)
 		}
-		if p.reuse {
-			p.out = out
-		}
+		p.out.keep(out)
 		return out, true, nil
 	}
 }

@@ -191,10 +191,11 @@ func (v Value) Key() string {
 }
 
 // AppendKey appends exactly the bytes of Key() to buf and returns the
-// extended slice. The executor's hash-aggregation and hash-join hot paths
+// extended slice. The executor's hash-aggregation and DISTINCT hot paths
 // use it with a reused per-operator buffer so building a composite key
 // costs no allocations (the map key string is only materialized when a
-// new group or build row is inserted).
+// new group is inserted). Hash joins do not: rendering spells float 1e6
+// and int 1000000 apart, so they compare typed values instead.
 func (v Value) AppendKey(buf []byte) []byte {
 	switch v.Kind {
 	case KindFloat:

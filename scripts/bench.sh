@@ -84,8 +84,9 @@ END {
 	printf '\nwrote %s (%s benchmark lines)\n' "$2" "$(grep -c '"name"' "$2")"
 }
 
-# Full-query pairs (root package) + pure-expression pairs (internal/exec).
-go test -run '^$' -bench 'BenchmarkExecutionQ6|BenchmarkExprCompiled|BenchmarkExprInterpreted' \
+# Full-query pairs (root package: Q1/Q6 expression paths, Q9/Q18 hash
+# joins) + pure-expression pairs (internal/exec).
+go test -run '^$' -bench 'BenchmarkExprCompiled|BenchmarkExprInterpreted' \
 	-benchmem -benchtime=1s "$@" . | tee "$tmp"
 go test -run '^$' -bench 'BenchmarkScalarEval' \
 	-benchmem -benchtime=1s "$@" ./internal/exec/ | tee -a "$tmp"

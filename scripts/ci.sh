@@ -28,6 +28,10 @@
 #                    template signature (literal perturbation must never
 #                    change a query's canonical key; see
 #                    internal/plancache and DESIGN.md §14)
+#  11. join smoke  — 5s of FuzzJoinKeys on the hash join's key table
+#                    (every probe must match exactly the build keys a
+#                    nested-loop join with SQL `=` matches, in build
+#                    order; see internal/exec and DESIGN.md §9)
 #
 # The parallel execution layer (internal/parallel, workload builds, fold
 # training, figure drivers) is only trusted because stage 5 passes clean;
@@ -111,5 +115,8 @@ go test -fuzz=FuzzSketch -fuzztime=5s -run '^$' ./internal/sketch
 
 banner "plancache fuzz smoke (FuzzCanonicalSignature, 5s)"
 go test -fuzz=FuzzCanonicalSignature -fuzztime=5s -run '^$' ./internal/plancache
+
+banner "join fuzz smoke (FuzzJoinKeys, 5s)"
+go test -fuzz=FuzzJoinKeys -fuzztime=5s -run '^$' ./internal/exec
 
 banner "CI OK"
